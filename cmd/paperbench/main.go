@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -478,7 +479,19 @@ func rmsExcluding(a, b *grid.Field, skip []grid.Box) (float64, error) {
 	return math.Sqrt(sum / float64(d.Len())), nil
 }
 
+// faultStudy is self-checking: it fails (non-zero exit via main's run
+// helper) unless every transient schedule heals bit-identically, the
+// crash schedule degrades with exactly the crashed rank dead, and the
+// crashed MASSIF solve converges within the bounds of the distributed
+// solver's crash test (dead [3], restarts ≥ 1, rel L2 ≤ massifCrashTol).
 func faultStudy() error {
+	var failed []string
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			failed = append(failed, fmt.Sprintf(format, args...))
+		}
+	}
+
 	// Part 1 — the single sparse exchange of the low-comm convolution on a
 	// lossy fabric. Transient faults (drops, corruption, duplicates, delays)
 	// heal through the deadline/retry layer and reproduce the fault-free
@@ -544,6 +557,10 @@ func faultStudy() error {
 		fs := c.Stats.FaultSnapshot()
 		if pl.plan.CrashAtOp > 0 {
 			crashStats = fs
+			check(res.Degraded && slices.Equal(res.Missing, []int{pl.plan.CrashWorker}),
+				"%s: outcome %q, want degraded with dead [%d]", pl.name, outcome, pl.plan.CrashWorker)
+		} else {
+			check(!res.Degraded && rms == 0, "%s: outcome %q, want healed bit-identical", pl.name, outcome)
 		}
 		t.AddCells(pl.name, outcome, fmt.Sprintf("%.3g", rms),
 			fmt.Sprint(fs.Retransmits), fmt.Sprint(fs.Timeouts),
@@ -604,8 +621,20 @@ func faultStudy() error {
 		fmt.Sprint(dist.Converged), fmt.Sprint(dist.Fault.Restarts),
 		fmt.Sprint(dist.Fault.Dead), fmt.Sprintf("%.4f", rel))
 	t2.Render(os.Stdout)
+	check(dist.Converged, "crashed MASSIF solve did not converge")
+	check(slices.Equal(dist.Fault.Dead, []int{3}), "crashed MASSIF solve dead ranks %v, want [3]", dist.Fault.Dead)
+	check(dist.Fault.Restarts >= 1, "crashed MASSIF solve restarts %d, want ≥ 1", dist.Fault.Restarts)
+	check(rel <= massifCrashTol, "crashed MASSIF solve rel L2 %.4f vs serial, want ≤ %g", rel, massifCrashTol)
+	if len(failed) > 0 {
+		return fmt.Errorf("faults: %d self-check(s) failed:\n  %s", len(failed), strings.Join(failed, "\n  "))
+	}
+	fmt.Printf("\nself-check passed: transient faults heal bit-identical, the crash degrades with dead [3], and the crashed MASSIF solve converges with %d restart(s) and rel L2 ≤ %g\n",
+		dist.Fault.Restarts, massifCrashTol)
 	return nil
 }
+
+// massifCrashTol is the paper's ≤3% L2 tolerance for the degraded solve.
+const massifCrashTol = 0.03
 
 // ckptDir is where the -chaos study keeps its durable checkpoints
 // (-ckpt-dir flag); empty selects a fresh OS temp directory.

@@ -12,37 +12,37 @@ import "sync"
 // the crash iteration) instead of being lost entirely.
 type strainCheckpoint struct {
 	mu      sync.Mutex
-	entries map[int]*ckptEntry
-}
-
-type ckptEntry struct {
-	iter int
-	eps  [][][]float64 // box → Voigt component → sample data
+	entries map[int][][][]float64 // worker → box → Voigt component → data
 }
 
 func newStrainCheckpoint() *strainCheckpoint {
-	return &strainCheckpoint{entries: make(map[int]*ckptEntry)}
+	return &strainCheckpoint{entries: make(map[int][][][]float64)}
 }
 
-// save deposits worker's strain snapshot for iter, replacing any earlier
-// deposit. eps must already be a deep copy owned by the checkpoint.
-func (s *strainCheckpoint) save(worker, iter int, eps [][][]float64) {
+// save deposits a deep copy of worker's strain, replacing any earlier
+// deposit.
+func (s *strainCheckpoint) save(worker int, eps [][][]float64) {
+	cp := cloneStrain(eps)
 	s.mu.Lock()
-	s.entries[worker] = &ckptEntry{iter: iter, eps: eps}
+	s.entries[worker] = cp
 	s.mu.Unlock()
 }
 
 // load returns a deep copy of worker's last deposit, so restoring cannot
 // alias the stored snapshot across repeated restarts.
-func (s *strainCheckpoint) load(worker int) (eps [][][]float64, iter int, ok bool) {
+func (s *strainCheckpoint) load(worker int) (eps [][][]float64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[worker]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
-	out := make([][][]float64, len(e.eps))
-	for i, box := range e.eps {
+	return cloneStrain(e), true
+}
+
+func cloneStrain(eps [][][]float64) [][][]float64 {
+	out := make([][][]float64, len(eps))
+	for i, box := range eps {
 		out[i] = make([][]float64, len(box))
 		for v, data := range box {
 			cp := make([]float64, len(data))
@@ -50,5 +50,5 @@ func (s *strainCheckpoint) load(worker int) (eps [][][]float64, iter int, ok boo
 			out[i][v] = cp
 		}
 	}
-	return out, e.iter, true
+	return out
 }

@@ -3,13 +3,10 @@ package massif
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"lowcomm3d/internal/cluster"
-	"lowcomm3d/internal/green"
 	"lowcomm3d/internal/grid"
-	"lowcomm3d/internal/sample"
 )
 
 // SolveLowCommDistributed runs Algorithm 2 on a simulated cluster — the
@@ -18,8 +15,11 @@ import (
 // fields, never the global grid. Each iteration performs the local
 // convolutions (zero communication), ONE all-to-all of octree-compressed
 // patches for the accumulation step, and one small all-reduce for the
-// global residual and mean-strain pinning. The result is bit-compatible
-// with the serial SolveLowComm.
+// global residual and mean-strain pinning. The result agrees with the
+// serial SolveLowComm to 1e-9 relative: accumulation and mean pinning sum
+// in a different order, so the last bits differ. On a healthy fabric the
+// self-healing path (opt.Heal) is bit-identical to this freeze-and-omit
+// path, since both run the same per-rank kernel (rankKernel).
 //
 // On a faulty fabric the solve degrades instead of aborting: transient
 // faults heal in the transport layer; a worker declared dead mid-solve
@@ -35,36 +35,11 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 	if opt.Heal != nil {
 		return solveSelfHealing(c, m, E, opt)
 	}
-	o := opt.Options.withDefaults()
-	boxes, err := grid.Decompose(m.Dim, opt.SubSize)
+	d, err := newDistSolve(m, E, opt, c.P)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := grid.Partition(boxes, c.P)
-	if err != nil {
-		return nil, err
-	}
-	lambda0, mu0 := m.ReferenceMedium()
-	gamma := green.Gamma{Lambda0: lambda0, Mu0: mu0}
-	normE := E.Norm() * math.Sqrt(float64(m.Dim.Len()))
-	if normE == 0 {
-		return nil, fmt.Errorf("massif: applied strain must be nonzero")
-	}
-
-	// Shared result written by disjoint regions at the end (assembly is
-	// not counted as solver communication, like MPI-IO output).
-	out := &LowCommResult{}
-	out.Comm.SubDomains = len(boxes)
-	strain := grid.NewTensorField(m.Dim)
-	stress := grid.NewTensorField(m.Dim)
-	out.Result.Strain = strain
-	out.Result.Stress = stress
-	iterDone := make([]int, c.P)
-	converged := make([]bool, c.P)
-	bytesPerIter := make([]int, c.P)
-	samplesPerIter := make([]int, c.P)
 	restartsPer := make([]int, c.P)
-	kd := grid.Cube(opt.SubSize)
 	ckpt := newStrainCheckpoint()
 	deadAtStart := make([]bool, c.P)
 	for _, q := range c.DeadWorkers() {
@@ -72,40 +47,14 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 	}
 
 	workerFn := func(w *cluster.Worker) error {
-		owned := parts[w.ID]
-		// Per-box solver state.
-		type boxState struct {
-			box   grid.Box
-			eps   *grid.TensorField // k³ local strain
-			local *tensorLocal
+		k, err := d.newKernel(w.ID, false)
+		if err != nil {
+			return err
 		}
-		states := make([]*boxState, len(owned))
-		for i, b := range owned {
-			tree, err := boxTree(m, b, opt)
-			if err != nil {
-				return err
-			}
-			local, err := newTensorLocal(m.Dim, b, gamma, tree, opt)
-			if err != nil {
-				return err
-			}
-			eps := grid.NewTensorField(kd)
-			eps.Fill(E)
-			states[i] = &boxState{box: b, eps: eps, local: local}
-		}
-		sigma := make([]*grid.Field, grid.NumVoigt)
-		for v := range sigma {
-			sigma[v] = grid.NewField(kd)
-		}
-		deltas := make([]*grid.TensorField, len(owned))
-		for i := range deltas {
-			deltas[i] = grid.NewTensorField(kd)
-		}
-
 		// Fault-tolerance state: the lockstep-consistent dead mask (agreed
 		// through the all-reduce broadcast each iteration, so every
-		// survivor takes the same restart decisions) plus deep-copy
-		// snapshot/restore of the owned strain for checkpoint/restart.
+		// survivor takes the same restart decisions) plus the in-memory
+		// checkpoint of the owned strain for checkpoint/restart.
 		knownDead := make([]bool, c.P)
 		copy(knownDead, deadAtStart)
 		// frozen[q] is the last payload delivered by peer q. When q dies,
@@ -115,146 +64,51 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		// accumulating q's last delivered patches, the constant source term
 		// matching the frozen strain its sub-domains are assembled with.
 		frozen := make([][]float64, c.P)
-		snapshot := func() [][][]float64 {
-			snap := make([][][]float64, len(states))
-			for i, st := range states {
-				snap[i] = make([][]float64, grid.NumVoigt)
-				for v := 0; v < grid.NumVoigt; v++ {
-					cp := make([]float64, len(st.eps.Comp[v].Data))
-					copy(cp, st.eps.Comp[v].Data)
-					snap[i][v] = cp
-				}
-			}
-			return snap
-		}
-		restore := func() error {
-			snap, _, ok := ckpt.load(w.ID)
-			if !ok {
-				return fmt.Errorf("massif: worker %d has no checkpoint to restart from", w.ID)
-			}
-			for i, st := range states {
-				for v := 0; v < grid.NumVoigt; v++ {
-					copy(st.eps.Comp[v].Data, snap[i][v])
-				}
-			}
-			return nil
-		}
 		liveVoxels := func() float64 {
 			nb := 0
 			for q := 0; q < c.P; q++ {
 				if !knownDead[q] {
-					nb += len(parts[q])
+					nb += len(d.parts[q])
 				}
 			}
-			return float64(nb * kd.Len())
+			return float64(nb * d.kd.Len())
 		}
 
-		for iter := 0; iter < o.MaxIter; iter++ {
-			ckpt.save(w.ID, iter, snapshot())
+		for iter := 0; iter < d.o.MaxIter; iter++ {
+			ckpt.save(w.ID, k.strain())
 			var total []float64
-		redo:
 			for {
-				// Local stress and local convolution for every owned box.
-				nsamp, nbytes := 0, 0
-				type resultSet struct{ comps []*sample.Compressed }
-				var results []resultSet
-				for _, st := range states {
-					// σ_d = C(x):ε_d voxelwise with the global phase map.
-					for z := 0; z < opt.SubSize; z++ {
-						for y := 0; y < opt.SubSize; y++ {
-							for x := 0; x < opt.SubSize; x++ {
-								s := m.StressAt(st.box.Lo[0]+x, st.box.Lo[1]+y, st.box.Lo[2]+z, st.eps.At(x, y, z))
-								i := kd.Index(x, y, z)
-								for v := 0; v < grid.NumVoigt; v++ {
-									sigma[v].Data[i] = s[v]
-								}
-							}
-						}
-					}
-					comps, ns, nb, err := st.local.run(sigma)
-					if err != nil {
-						return err
-					}
-					nsamp += ns
-					nbytes += nb
-					results = append(results, resultSet{comps: comps})
+				msgs, nsamp, nbytes, err := k.convolve(k.states)
+				if err != nil {
+					return err
 				}
-				bytesPerIter[w.ID] = nbytes
-				samplesPerIter[w.ID] = nsamp
-
-				// One sparse all-to-all: ship to each peer only the patches
-				// overlapping that peer's sub-domains.
-				msgs := make([][]float64, c.P)
-				for q := 0; q < c.P; q++ {
-					perComp := make([][]sample.Patch, grid.NumVoigt)
-					for _, rs := range results {
-						for v, comp := range rs.comps {
-							for _, p := range comp.Patches(m.Dim.Bounds()) {
-								for _, qb := range parts[q] {
-									if p.Cell.Box.Overlaps(qb) {
-										perComp[v] = append(perComp[v], p)
-										break
-									}
-								}
-							}
-						}
-					}
-					msgs[q] = sample.EncodeComponentPatches(perComp)
-				}
+				d.bytesPerIter[w.ID] = nbytes
+				d.samplesPerIter[w.ID] = nsamp
 				recv, _, err := w.AllToAllFT(msgs)
 				if err != nil {
 					return err // this worker's own injected crash
 				}
-				// Accumulate Δε on owned boxes (Algorithm 2 line 6). A dead
-				// peer's slot is nil: substitute its frozen contribution.
-				// (After a retry-exhaustion death — as opposed to an injected
-				// crash, which dies before sending — survivors may have
-				// frozen the peer one exchange apart; the checkpoint redo
-				// keeps the iteration itself consistent, and the residual
-				// absorbs the one-iteration-old source.)
-				for i := range deltas {
-					for v := range deltas[i].Comp {
-						deltas[i].Comp[v].Zero()
-					}
-				}
-				for q := 0; q < c.P; q++ {
-					buf := recv[q]
+				// A dead peer's slot is nil: substitute its frozen
+				// contribution. (After a retry-exhaustion death — as opposed
+				// to an injected crash, which dies before sending —
+				// survivors may have frozen the peer one exchange apart; the
+				// checkpoint redo keeps the iteration itself consistent, and
+				// the residual absorbs the one-iteration-old source.)
+				for q, buf := range recv {
 					if buf == nil {
-						buf = frozen[q]
-						if buf == nil {
-							continue
-						}
+						recv[q] = frozen[q]
 					} else {
 						frozen[q] = buf
 					}
-					perComp, err := sample.DecodeComponentPatches(buf)
-					if err != nil {
-						return err
-					}
-					for v, ps := range perComp {
-						for _, p := range ps {
-							for i, st := range states {
-								if err := p.AddToSubField(deltas[i].Comp[v], st.box.Lo, 1); err != nil {
-									return err
-								}
-							}
-						}
-					}
+				}
+				if err := k.accumulate(recv); err != nil {
+					return err
 				}
 
 				// Global mean pinning + residual in one 12-value all-reduce,
 				// which doubles as the failure-agreement round: the root's
 				// broadcast hands every survivor the same dead mask.
-				partial := make([]float64, 2*grid.NumVoigt)
-				for i := range deltas {
-					for v := 0; v < grid.NumVoigt; v++ {
-						for _, d := range deltas[i].Comp[v].Data {
-							partial[v] += d
-							partial[grid.NumVoigt+v] += d * d
-						}
-					}
-				}
-				tot, mask, err := w.AllReduceSumFT(partial)
+				tot, mask, err := w.AllReduceSumFT(k.partials())
 				if err != nil {
 					return err
 				}
@@ -265,71 +119,33 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 						grew = true
 					}
 				}
-				if grew {
-					// A peer died inside this iteration, so survivors may
-					// hold inconsistent accumulations (some received the
-					// dead rank's patches, others declared it dead mid
-					// exchange). Restore the iteration-start strain from the
-					// checkpoint and redo the iteration with the dead set
-					// excluded everywhere.
-					restartsPer[w.ID]++
-					if restartsPer[w.ID] > c.P {
-						return fmt.Errorf("massif: worker %d exceeded restart limit at iteration %d", w.ID, iter)
-					}
-					if err := restore(); err != nil {
-						return err
-					}
-					continue redo
+				if !grew {
+					total = tot
+					break
 				}
-				total = tot
-				break redo
+				// A peer died inside this iteration, so survivors may hold
+				// inconsistent accumulations (some received the dead rank's
+				// patches, others declared it dead mid exchange). Restore the
+				// iteration-start strain from the checkpoint and redo the
+				// iteration with the dead set excluded everywhere.
+				restartsPer[w.ID]++
+				if restartsPer[w.ID] > c.P {
+					return fmt.Errorf("massif: worker %d exceeded restart limit at iteration %d", w.ID, iter)
+				}
+				snap, ok := ckpt.load(w.ID)
+				if !ok {
+					return fmt.Errorf("massif: worker %d has no checkpoint to restart from", w.ID)
+				}
+				loadStrain(k.states, snap)
 			}
 			// Mean and residual over live voxels: dead sub-domains are
 			// frozen, so pinning the live mean keeps the survivors' average
 			// strain at E.
-			nTot := liveVoxels()
-			delta2 := 0.0
-			var mean [grid.NumVoigt]float64
-			for v := 0; v < grid.NumVoigt; v++ {
-				mean[v] = total[v] / nTot
-				wgt := 1.0
-				if v >= grid.VYZ {
-					wgt = 2.0
-				}
-				// Σ(d−μ)² = Σd² − n·μ².
-				delta2 += wgt * (total[grid.NumVoigt+v] - nTot*mean[v]*mean[v])
-			}
-			// ε_d ← ε_d − (Δε − mean) (line 7).
-			for i, st := range states {
-				for v := 0; v < grid.NumVoigt; v++ {
-					ed := st.eps.Comp[v].Data
-					for j, d := range deltas[i].Comp[v].Data {
-						ed[j] -= d - mean[v]
-					}
-				}
-			}
-			r := math.Sqrt(math.Max(delta2, 0)) / normE
-			iterDone[w.ID] = iter + 1
-			if w.ID == 0 {
-				out.Residuals = append(out.Residuals, r)
-			}
-			if r < o.Tol {
-				converged[w.ID] = true
+			if d.record(w.ID, iter, k.update(total, liveVoxels())) {
 				break
 			}
 		}
-
-		// Assemble the distributed strain into the shared result
-		// (disjoint regions per worker).
-		for _, st := range states {
-			for v := 0; v < grid.NumVoigt; v++ {
-				sub := &grid.Field{Dim: kd, Data: st.eps.Comp[v].Data}
-				if err := strain.Comp[v].InsertBox(st.box, sub); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return k.assemble()
 	}
 	errs := c.RunAll(workerFn)
 	deadRanks := map[int]bool{}
@@ -355,9 +171,9 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 	// its sub-domains enter the result frozen at its last checkpointed
 	// strain (or the applied strain E if it died before checkpointing).
 	for q := range deadRanks {
-		snap, _, ok := ckpt.load(q)
-		sub := grid.NewField(kd)
-		for i, b := range parts[q] {
+		snap, ok := ckpt.load(q)
+		sub := grid.NewField(d.kd)
+		for i, b := range d.parts[q] {
 			for v := 0; v < grid.NumVoigt; v++ {
 				if ok {
 					copy(sub.Data, snap[i][v])
@@ -366,7 +182,7 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 						sub.Data[j] = E[v]
 					}
 				}
-				if err := strain.Comp[v].InsertBox(b, sub); err != nil {
+				if err := d.out.Strain.Comp[v].InsertBox(b, sub); err != nil {
 					return nil, err
 				}
 			}
@@ -387,28 +203,18 @@ func SolveLowCommDistributed(c *cluster.Cluster, m *Microstructure, E grid.SymTe
 		// "degraded but usable".
 		return nil, &AllDeadError{Workers: c.P, Last: lastDeadErr}
 	}
-	out.Iterations = iterDone[live]
-	out.Converged = converged[live]
-	out.Comm.Iterations = out.Iterations
-	for wID := range bytesPerIter {
-		out.Comm.BytesPerIter += bytesPerIter[wID]
-		out.Comm.SamplesPerIter += samplesPerIter[wID]
-	}
-	out.Comm.DenseBytesPerIter = 8 * m.Dim.Len() * grid.NumVoigt * len(boxes)
+	fault := &d.out.Fault
 	if len(deadRanks) > 0 {
-		out.Fault.Degraded = true
+		fault.Degraded = true
 		for q := range deadRanks {
-			out.Fault.Dead = append(out.Fault.Dead, q)
+			fault.Dead = append(fault.Dead, q)
 		}
-		sort.Ints(out.Fault.Dead)
+		sort.Ints(fault.Dead)
 	}
 	for _, rp := range restartsPer {
-		if rp > out.Fault.Restarts {
-			out.Fault.Restarts = rp
+		if rp > fault.Restarts {
+			fault.Restarts = rp
 		}
 	}
-	if _, err := m.StressField(strain, stress); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return d.finish(live)
 }

@@ -1,10 +1,13 @@
 package massif
 
 import (
+	"math"
 	"testing"
 
+	"lowcomm3d/internal/ckpt"
 	"lowcomm3d/internal/cluster"
 	"lowcomm3d/internal/grid"
+	"lowcomm3d/internal/obs"
 )
 
 func TestDistributedMatchesSerialLowComm(t *testing.T) {
@@ -55,6 +58,38 @@ func TestDistributedMatchesSerialLowComm(t *testing.T) {
 		}
 		if dist.Comm.BytesPerIter <= 0 || dist.Comm.SamplesPerIter <= 0 {
 			t.Errorf("P=%d: comm accounting missing: %+v", p, dist.Comm)
+		}
+
+		// On a healthy fabric both fault policies run the same rank
+		// kernel, so the healing solve reproduces the freeze-and-omit
+		// result bit for bit.
+		store, err := ckpt.NewStore(t.TempDir(), obs.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc, err := cluster.New(p, cluster.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hopt := opt
+		hopt.Heal = &HealOptions{Store: store}
+		healed, err := SolveLowCommDistributed(hc, m, E, hopt)
+		if err != nil {
+			t.Fatalf("P=%d heal: %v", p, err)
+		}
+		if healed.Comm != dist.Comm {
+			t.Errorf("P=%d: heal comm %+v, freeze-and-omit %+v", p, healed.Comm, dist.Comm)
+		}
+		if !sameBits(healed.Residuals, dist.Residuals) {
+			t.Errorf("P=%d: heal residuals %v, freeze-and-omit %v", p, healed.Residuals, dist.Residuals)
+		}
+		for v := 0; v < grid.NumVoigt; v++ {
+			if !sameBits(healed.Strain.Comp[v].Data, dist.Strain.Comp[v].Data) {
+				t.Errorf("P=%d: heal strain component %d differs from freeze-and-omit", p, v)
+			}
+			if !sameBits(healed.Stress.Comp[v].Data, dist.Stress.Comp[v].Data) {
+				t.Errorf("P=%d: heal stress component %d differs from freeze-and-omit", p, v)
+			}
 		}
 	}
 }
@@ -136,4 +171,17 @@ func TestDistributedErrors(t *testing.T) {
 	if _, err := SolveLowCommDistributed(c, m, grid.SymTensor{0.01, 0, 0, 0, 0, 0}, LowCommOptions{SubSize: 3}); err == nil {
 		t.Error("bad sub size should fail")
 	}
+}
+
+// sameBits reports whether a and b hold bit-identical values.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -78,16 +78,7 @@ func SolveLowComm(m *Microstructure, E grid.SymTensor, opt LowCommOptions) (*Low
 	// reused across iterations.
 	locals := make([]*tensorLocal, len(boxes))
 	for i, b := range boxes {
-		var tree *octree.Tree
-		if opt.FullRes {
-			tree, err = sample.Uniform{Rate: 1, CellSize: min(8, m.Dim.Nx)}.Tree(m.Dim)
-		} else {
-			far := opt.FarRate
-			if far == 0 {
-				far = 16
-			}
-			tree, err = sample.DefaultPolicy(b, far).Tree(m.Dim)
-		}
+		tree, err := boxTree(m, b, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,8 @@
 // The decoder is hardened like sample.ReadCompressed: every count is
 // bounds-checked and the payload is read in bounded chunks, so a forged
 // header cannot trigger a large upfront allocation — a lying stream fails
-// at EOF after at most one chunk.
+// at EOF after at most one chunk. (ReadCompressed reaches the same bound
+// by growing its buffer only with bytes received.)
 package ckpt
 
 import (
@@ -59,7 +60,7 @@ const (
 	maxPerBox = 1 << 27
 
 	// chunk bounds per-read allocations while decoding untrusted streams
-	// (64Ki float64 = 512 KiB at a time), mirroring sample.ReadCompressed.
+	// (64Ki float64 = 512 KiB at a time).
 	chunk = 1 << 16
 )
 

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"lowcomm3d/internal/grid"
@@ -17,14 +18,28 @@ const IntsPerCell = 5
 // consecutive cumulative counts during decode.
 func (t *Tree) EncodeMeta() []int32 {
 	meta := make([]int32, 0, IntsPerCell*len(t.Cells))
+	t.eachMeta(func(m [IntsPerCell]int32) { meta = append(meta, m[:]...) })
+	return meta
+}
+
+// AppendMeta appends the EncodeMeta integers to dst as little-endian
+// int32 bytes — the on-wire form, without an intermediate []int32.
+func (t *Tree) AppendMeta(dst []byte) []byte {
+	t.eachMeta(func(m [IntsPerCell]int32) {
+		for _, v := range m {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+		}
+	})
+	return dst
+}
+
+// eachMeta calls f with every cell's five metadata integers, in order.
+func (t *Tree) eachMeta(f func([IntsPerCell]int32)) {
 	cum := 0
 	for _, c := range t.Cells {
-		meta = append(meta,
-			int32(c.Box.Lo[0]), int32(c.Box.Lo[1]), int32(c.Box.Lo[2]),
-			int32(c.Rate), int32(cum))
+		f([IntsPerCell]int32{int32(c.Box.Lo[0]), int32(c.Box.Lo[1]), int32(c.Box.Lo[2]), int32(c.Rate), int32(cum)})
 		cum += c.SampleCount()
 	}
-	return meta
 }
 
 // MetadataBytes returns the size of the encoded metadata in bytes
@@ -48,7 +63,7 @@ func DecodeMeta(n int, meta []int32, totalSamples int) (*Tree, error) {
 		return nil, fmt.Errorf("octree: implausible total sample count %d", totalSamples)
 	}
 	nc := len(meta) / IntsPerCell
-	t := &Tree{Dim: grid.Cube(n)}
+	t := &Tree{Dim: grid.Cube(n), Cells: make([]Cell, 0, nc)}
 	for i := 0; i < nc; i++ {
 		m := meta[i*IntsPerCell : (i+1)*IntsPerCell]
 		rate := int(m[3])

@@ -113,18 +113,38 @@ func (t *Tree) SampleCount() int {
 // CellCount returns the number of leaf cells.
 func (t *Tree) CellCount() int { return len(t.Cells) }
 
-// Validate checks the structural invariants: cells are disjoint, cover the
-// grid exactly, have power-of-two rates dividing their sizes, and lie
-// within bounds.
+// maxMortonGrid bounds the grid edge Validate accepts: 3·20 interleaved
+// bits keep every Morton code and the N³ cover total inside an int.
+const maxMortonGrid = 1 << 20
+
+// Validate checks the structural invariants: cells are cubic, lie within
+// bounds, have power-of-two rates dividing their sizes, are disjoint, and
+// cover the grid exactly.
+//
+// It runs in one O(cells) pass with no allocation, by accepting exactly
+// the trees Build can produce: the grid is a cubic power of two, every
+// cell is an aligned power-of-two octant, and the cells appear in the
+// depth-first octant order Build emits (x the fastest-varying child). In
+// that order each cell's Morton code — the bits of its corner interleaved
+// x lowest — equals the number of grid points covered before it, so a
+// cursor that must match every cell's code and then advance by its
+// volume proves disjointness and exact cover together. A disjoint exact
+// cover in any other order, or with a cell off its octant alignment, is
+// rejected: no encoder in this library emits one, and an untrusted stream
+// must not be able to buy quadratic checking time.
 func (t *Tree) Validate() error {
-	vol := 0
-	bounds := t.Dim.Bounds()
+	n := t.Dim.Nx
+	if t.Dim.Ny != n || t.Dim.Nz != n || n < 1 || n&(n-1) != 0 || n > maxMortonGrid {
+		return fmt.Errorf("octree: grid %v is not a cubic power of two up to %d", t.Dim, maxMortonGrid)
+	}
+	cursor := 0
 	for i, c := range t.Cells {
-		s := c.Box.Size()
+		lo, s := c.Box.Lo, c.Box.Size()
 		if s[0] != s[1] || s[1] != s[2] {
 			return fmt.Errorf("octree: cell %d box %v not cubic", i, c.Box)
 		}
-		if !bounds.ContainsBox(c.Box) {
+		if lo[0] < 0 || lo[1] < 0 || lo[2] < 0 || s[0] < 1 || s[0] > n ||
+			lo[0] > n-s[0] || lo[1] > n-s[0] || lo[2] > n-s[0] {
 			return fmt.Errorf("octree: cell %d box %v outside grid", i, c.Box)
 		}
 		if c.Rate < 1 || c.Rate&(c.Rate-1) != 0 {
@@ -133,17 +153,37 @@ func (t *Tree) Validate() error {
 		if s[0]%c.Rate != 0 {
 			return fmt.Errorf("octree: cell %d rate %d does not divide size %d", i, c.Rate, s[0])
 		}
-		for j := i + 1; j < len(t.Cells); j++ {
-			if c.Box.Overlaps(t.Cells[j].Box) {
-				return fmt.Errorf("octree: cells %d and %d overlap", i, j)
-			}
+		if s[0]&(s[0]-1) != 0 || (lo[0]|lo[1]|lo[2])&(s[0]-1) != 0 {
+			return fmt.Errorf("octree: cell %d box %v is not an aligned octant", i, c.Box)
 		}
-		vol += c.Box.Volume()
+		if code := morton(lo); code != cursor {
+			if code < cursor {
+				return fmt.Errorf("octree: cell %d box %v overlaps an earlier cell or is out of octant order", i, c.Box)
+			}
+			return fmt.Errorf("octree: gap of %d points before cell %d box %v", code-cursor, i, c.Box)
+		}
+		cursor += s[0] * s[0] * s[0]
 	}
-	if vol != t.Dim.Len() {
-		return fmt.Errorf("octree: cells cover %d points, grid has %d", vol, t.Dim.Len())
+	if cursor != n*n*n {
+		return fmt.Errorf("octree: cells cover %d points, grid has %d", cursor, n*n*n)
 	}
 	return nil
+}
+
+// morton interleaves the bits of an in-grid corner, x in the lowest bit.
+func morton(p grid.Point) int {
+	return spread3(p[0]) | spread3(p[1])<<1 | spread3(p[2])<<2
+}
+
+// spread3 moves bit b of a 21-bit value to bit 3b.
+func spread3(v int) int {
+	x := uint64(v) & 0x1fffff
+	x = (x | x<<32) & 0x1f00000000ffff
+	x = (x | x<<16) & 0x1f0000ff0000ff
+	x = (x | x<<8) & 0x100f00f00f00f00f
+	x = (x | x<<4) & 0x10c30c30c30c30c3
+	x = (x | x<<2) & 0x1249249249249249
+	return int(x)
 }
 
 // ForEachSample visits every sample point of every cell in storage order.
@@ -182,13 +222,11 @@ func (t *Tree) CellOffsets() []int {
 	return off
 }
 
-// FindCell returns the index of the cell containing (x, y, z), or -1.
-// Lookup walks the implicit octree top-down in O(log N).
+// FindCell returns the index of the cell containing (x, y, z), or -1. It
+// scans the cells linearly — O(cells) per query, fine for the hundreds of
+// cells a result tree holds; Locator answers in O(tree depth) for many
+// queries against a large tree.
 func (t *Tree) FindCell(x, y, z int) int {
-	// Cells are emitted in deterministic DFS octant order; binary search
-	// is not applicable to the 3D layout, so use a simple scan accelerated
-	// by checking the box. Trees stay small (hundreds of cells), so a
-	// linear scan is fine and avoids auxiliary indices.
 	for i, c := range t.Cells {
 		if c.Box.Contains(x, y, z) {
 			return i

@@ -335,3 +335,23 @@ func BenchmarkLocatorVsScan(b *testing.B) {
 		}
 	})
 }
+
+// TestMortonMatchesBitLoop checks the magic-number bit spread against a
+// plain bit-by-bit interleave across the full 20-bit coordinate range.
+func TestMortonMatchesBitLoop(t *testing.T) {
+	naive := func(p grid.Point) int {
+		code := 0
+		for b := 0; b < 20; b++ {
+			for a := 0; a < 3; a++ {
+				code |= (p[a] >> b & 1) << (3*b + a)
+			}
+		}
+		return code
+	}
+	for i := 0; i < 5000; i++ {
+		p := grid.Point{(i * 7919) % maxMortonGrid, (i * 104729) % maxMortonGrid, maxMortonGrid - 1 - i}
+		if got, want := morton(p), naive(p); got != want {
+			t.Fatalf("morton(%v) = %#x, want %#x", p, got, want)
+		}
+	}
+}

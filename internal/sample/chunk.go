@@ -1,7 +1,6 @@
 package sample
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 )
@@ -33,17 +32,6 @@ type Chunk struct {
 	Total   int64  // total encoded stream length, identical across chunks
 	CRC     uint32 // CRC32-C of Payload
 	Payload []byte
-}
-
-// EncodeBytes serializes the compressed field (full precision) into
-// memory — the server-side snapshot a chunked, resumable stream is cut
-// from.
-func (c *Compressed) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // ChunkAt cuts the single CRC-stamped chunk of at most size payload
@@ -143,10 +131,11 @@ func (a *Assembler) Add(ch Chunk) error {
 // Bytes returns the assembled prefix (aliased, not copied).
 func (a *Assembler) Bytes() []byte { return a.buf }
 
-// Compressed decodes the fully assembled stream.
+// Compressed decodes the fully assembled stream in place. The result
+// shares no memory with the assembler, which may be Reset and reused.
 func (a *Assembler) Compressed() (*Compressed, error) {
 	if !a.Complete() {
 		return nil, fmt.Errorf("sample: stream incomplete: %d of %d bytes assembled", len(a.buf), a.total)
 	}
-	return ReadCompressed(bytes.NewReader(a.buf))
+	return decodeCompressed(a.buf)
 }

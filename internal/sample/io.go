@@ -1,10 +1,11 @@
 package sample
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"lowcomm3d/internal/octree"
 )
@@ -20,13 +21,17 @@ import (
 //	cells   uint32  octree cell count
 //	samples uint64  sample count
 //	meta    [5·cells]int32
-//	data    [samples]float64
+//	data    [samples]float64 (float32 in version 2)
 
 const (
 	ioMagic     = 0x4c433344 // "LC3D"
 	ioVersion   = 1          // float64 samples
 	ioVersion32 = 2          // float32 samples (paper §4: "compressed further using lower precision")
 )
+
+// headerBytes is the fixed stream header: four uint32 fields and the
+// uint64 sample count.
+const headerBytes = 24
 
 // WriteTo serializes the compressed field at full (float64) precision. It
 // implements io.WriterTo.
@@ -42,133 +47,151 @@ func (c *Compressed) WriteTo32(w io.Writer) (int64, error) {
 }
 
 func (c *Compressed) writeVersion(w io.Writer, version uint32) (int64, error) {
-	if len(c.Samples) != c.Tree.SampleCount() {
-		return 0, fmt.Errorf("sample: %d samples stored, tree needs %d", len(c.Samples), c.Tree.SampleCount())
+	b, err := c.encode(version)
+	if err != nil {
+		return 0, err
 	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	header := []uint32{ioMagic, version, uint32(c.Tree.Dim.Nx), uint32(len(c.Tree.Cells))}
-	for _, h := range header {
-		if err := write(h); err != nil {
-			return n, err
-		}
-	}
-	if err := write(uint64(len(c.Samples))); err != nil {
-		return n, err
-	}
-	if err := write(c.Tree.EncodeMeta()); err != nil {
-		return n, err
-	}
-	if version == ioVersion32 {
-		s32 := make([]float32, len(c.Samples))
-		for i, v := range c.Samples {
-			s32[i] = float32(v)
-		}
-		if err := write(s32); err != nil {
-			return n, err
-		}
-	} else if err := write(c.Samples); err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
-// ReadCompressed deserializes a compressed field written by WriteTo,
-// validating the octree structure before returning.
-func ReadCompressed(r io.Reader) (*Compressed, error) {
-	br := bufio.NewReader(r)
-	var header [4]uint32
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("sample: reading header: %w", err)
+// EncodeBytes serializes the compressed field (full precision) into one
+// exact-size buffer — the server-side snapshot a chunked, resumable stream
+// is cut from.
+func (c *Compressed) EncodeBytes() ([]byte, error) {
+	return c.encode(ioVersion)
+}
+
+// encode lays the stream out in a single allocation of its exact size.
+func (c *Compressed) encode(version uint32) ([]byte, error) {
+	if len(c.Samples) != c.Tree.SampleCount() {
+		return nil, fmt.Errorf("sample: %d samples stored, tree needs %d", len(c.Samples), c.Tree.SampleCount())
+	}
+	h := streamHeader{n: c.Tree.Dim.Nx, cells: len(c.Tree.Cells), samples: len(c.Samples), width: 8}
+	if version == ioVersion32 {
+		h.width = 4
+	}
+	le := binary.LittleEndian
+	b := make([]byte, 0, h.size())
+	b = le.AppendUint32(b, ioMagic)
+	b = le.AppendUint32(b, version)
+	b = le.AppendUint32(b, uint32(h.n))
+	b = le.AppendUint32(b, uint32(h.cells))
+	b = le.AppendUint64(b, uint64(h.samples))
+	b = c.Tree.AppendMeta(b)
+	if h.width == 4 {
+		for _, v := range c.Samples {
+			b = le.AppendUint32(b, math.Float32bits(float32(v)))
+		}
+	} else {
+		for _, v := range c.Samples {
+			b = le.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	if header[0] != ioMagic {
-		return nil, fmt.Errorf("sample: bad magic %#x", header[0])
+	return b, nil
+}
+
+// streamHeader is the decoded, plausibility-checked stream header.
+type streamHeader struct {
+	n, cells, samples int
+	width             int // bytes per sample: 8 (version 1) or 4 (version 2)
+}
+
+// size returns the exact stream length the header describes.
+func (h streamHeader) size() int64 {
+	return headerBytes + 4*octree.IntsPerCell*int64(h.cells) + int64(h.width)*int64(h.samples)
+}
+
+// parseHeader decodes and bounds-checks the first headerBytes of b.
+func parseHeader(b []byte) (streamHeader, error) {
+	le := binary.LittleEndian
+	if m := le.Uint32(b); m != ioMagic {
+		return streamHeader{}, fmt.Errorf("sample: bad magic %#x", m)
 	}
-	if header[1] != ioVersion && header[1] != ioVersion32 {
-		return nil, fmt.Errorf("sample: unsupported version %d", header[1])
+	h := streamHeader{n: int(le.Uint32(b[8:])), cells: int(le.Uint32(b[12:]))}
+	switch v := le.Uint32(b[4:]); v {
+	case ioVersion:
+		h.width = 8
+	case ioVersion32:
+		h.width = 4
+	default:
+		return streamHeader{}, fmt.Errorf("sample: unsupported version %d", v)
 	}
-	n := int(header[2])
-	cells := int(header[3])
-	if n <= 0 || n > 1<<20 || cells <= 0 || cells > 1<<28 {
-		return nil, fmt.Errorf("sample: implausible header n=%d cells=%d", n, cells)
+	if h.n <= 0 || h.n > 1<<20 || h.cells <= 0 || h.cells > 1<<28 {
+		return streamHeader{}, fmt.Errorf("sample: implausible header n=%d cells=%d", h.n, h.cells)
 	}
-	var sampleCount uint64
-	if err := binary.Read(br, binary.LittleEndian, &sampleCount); err != nil {
-		return nil, fmt.Errorf("sample: reading sample count: %w", err)
+	samples := le.Uint64(b[16:])
+	if samples > 1<<40 {
+		return streamHeader{}, fmt.Errorf("sample: implausible sample count %d", samples)
 	}
-	if sampleCount > 1<<40 {
-		return nil, fmt.Errorf("sample: implausible sample count %d", sampleCount)
+	h.samples = int(samples)
+	return h, nil
+}
+
+// decodeCompressed decodes one complete stream held in buf, reading the
+// values in place. Every header count is checked against len(buf) before
+// anything is sized from it, and the octree is validated in O(cells), so
+// decoding costs O(len(buf)) time and memory whatever the header claims.
+// The result shares no memory with buf.
+func decodeCompressed(buf []byte) (*Compressed, error) {
+	if len(buf) < headerBytes {
+		return nil, fmt.Errorf("sample: reading header: %d of %d bytes: %w", len(buf), headerBytes, io.ErrUnexpectedEOF)
 	}
-	// Read metadata in bounded chunks: the cell count is attacker-controlled
-	// (up to 2²⁸ → a 5.4 GB upfront allocation), so allocate only as data
-	// actually arrives — a lying header fails at EOF after one chunk.
-	meta := make([]int32, 0, minInt(octree.IntsPerCell*cells, ioChunk))
-	for remaining := octree.IntsPerCell * cells; remaining > 0; {
-		chunk := minInt(remaining, ioChunk)
-		buf := make([]int32, chunk)
-		if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
-			return nil, fmt.Errorf("sample: reading metadata: %w", err)
-		}
-		meta = append(meta, buf...)
-		remaining -= chunk
+	h, err := parseHeader(buf)
+	if err != nil {
+		return nil, err
 	}
-	tree, err := octree.DecodeMeta(n, meta, int(sampleCount))
+	if size := h.size(); int64(len(buf)) != size {
+		return nil, fmt.Errorf("sample: header describes a %d-byte stream (%d cells, %d samples), have %d bytes",
+			size, h.cells, h.samples, len(buf))
+	}
+	le := binary.LittleEndian
+	raw := buf[headerBytes:]
+	meta := make([]int32, octree.IntsPerCell*h.cells)
+	for i := range meta {
+		meta[i] = int32(le.Uint32(raw[4*i:]))
+	}
+	tree, err := octree.DecodeMeta(h.n, meta, h.samples)
 	if err != nil {
 		return nil, err
 	}
 	if err := tree.Validate(); err != nil {
 		return nil, fmt.Errorf("sample: decoded tree invalid: %w", err)
 	}
-	if tree.SampleCount() != int(sampleCount) {
-		return nil, fmt.Errorf("sample: tree needs %d samples, file has %d", tree.SampleCount(), sampleCount)
-	}
-	// Same chunked discipline for the payload: a structurally valid octree
-	// in a 2²⁰ grid can legitimately demand ~2⁴⁰ samples, so sizing the
-	// slice from the header alone is an 8 TB allocation a 60-byte forged
-	// stream could trigger. Growth is bounded by bytes actually received.
-	samples := make([]float64, 0, minInt(int(sampleCount), ioChunk))
-	if header[1] == ioVersion32 {
-		for remaining := int(sampleCount); remaining > 0; {
-			chunk := minInt(remaining, ioChunk)
-			s32 := make([]float32, chunk)
-			if err := binary.Read(br, binary.LittleEndian, s32); err != nil {
-				return nil, fmt.Errorf("sample: reading samples: %w", err)
-			}
-			for _, v := range s32 {
-				samples = append(samples, float64(v))
-			}
-			remaining -= chunk
+	raw = raw[4*len(meta):]
+	samples := make([]float64, h.samples)
+	if h.width == 4 {
+		for i := range samples {
+			samples[i] = float64(math.Float32frombits(le.Uint32(raw[4*i:])))
 		}
 	} else {
-		for remaining := int(sampleCount); remaining > 0; {
-			chunk := minInt(remaining, ioChunk)
-			buf := make([]float64, chunk)
-			if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
-				return nil, fmt.Errorf("sample: reading samples: %w", err)
-			}
-			samples = append(samples, buf...)
-			remaining -= chunk
+		for i := range samples {
+			samples[i] = math.Float64frombits(le.Uint64(raw[8*i:]))
 		}
 	}
 	return &Compressed{Tree: tree, Samples: samples}, nil
 }
 
-// ioChunk bounds per-read allocations while deserializing untrusted
-// streams (64Ki elements: 512 KiB of float64 at a time).
-const ioChunk = 1 << 16
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// ReadCompressed deserializes one compressed field written by WriteTo or
+// WriteTo32, validating the octree structure before returning. It reads
+// exactly the stream's bytes from r. A header is untrusted: the read
+// buffer grows only with bytes actually received, so a forged count fails
+// at EOF instead of sizing an allocation.
+func ReadCompressed(r io.Reader) (*Compressed, error) {
+	var head [headerBytes]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("sample: reading header: %w", err)
 	}
-	return b
+	h, err := parseHeader(head[:])
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(head[:])
+	if _, err := io.CopyN(buf, r, h.size()-headerBytes); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("sample: reading stream: %w", err)
+	}
+	return decodeCompressed(buf.Bytes())
 }
